@@ -3,9 +3,10 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
+#include <optional>
+#include <stdexcept>
 #include <utility>
 
-#include "compiler/passes.hpp"
 #include "mem/guest_memory.hpp"
 #include "sim/event_queue.hpp"
 
@@ -26,11 +27,11 @@ namespace
  * passes and the baseline prefetchers.
  */
 const std::vector<WorkloadSpec> kSpecs = {
-    {"intsort", {"IntSort"}, {Technique::kNone, Technique::kManual}, 0.2, 1},
+    {"intsort", {"IntSort"}, {Technique::kNone, Technique::kManual}, 0.05, 1},
     {"g500list",
      {"G500-List"},
      {Technique::kNone, Technique::kManual},
-     0.2,
+     0.05,
      1},
     {"fig7grid",
      {"G500-CSR", "G500-List", "HJ-2", "HJ-8", "PageRank", "RandAcc",
@@ -155,37 +156,102 @@ gateFailure(const std::vector<epf::SweepCell> &cells,
     return {};
 }
 
+bool
+isCompiled(Technique t)
+{
+    return t == Technique::kPragma || t == Technique::kConverted;
+}
+
+CellSetup::CellSetup(const epf::SweepCell &cell)
+    : cell_(cell), wl_(epf::makeWorkload(cell.workload, cell.config.scale))
+{
+    if (!wl_)
+        throw std::invalid_argument("unknown workload: " + cell.workload);
+}
+
+bool
+CellSetup::load(epf::GuestMemory &gmem)
+{
+    if (cell_.config.technique == Technique::kSoftware &&
+        !wl_->supportsSoftware()) {
+        note_ = "no direct memory address access so software prefetch "
+                "not possible";
+        return false;
+    }
+    wl_->setup(gmem, cell_.config.seed);
+    return true;
+}
+
+bool
+CellSetup::compile()
+{
+    const Technique t = cell_.config.technique;
+    if (!isCompiled(t))
+        return true;
+    for (const auto &loop : wl_->buildIR()) {
+        epf::PassResult pr = t == Technique::kConverted
+                                 ? epf::convertSoftwarePrefetches(*loop)
+                                 : epf::generateFromPragma(*loop);
+        for (const auto &r : pr.program.remarks)
+            remarks_.push_back(r);
+        if (!pr.ok) {
+            remarks_.push_back("loop not converted: " + pr.failureReason);
+            continue;
+        }
+        passes_.push_back(std::move(pr));
+    }
+    if (passes_.empty()) {
+        note_ = "compiler pass produced no events";
+        return false;
+    }
+    return true;
+}
+
+epf::PpfConfig
+CellSetup::ppfConfig() const
+{
+    epf::PpfConfig pc = cell_.config.ppf;
+    if (cell_.config.technique == Technique::kManualBlocked)
+        pc.blocking = true;
+    return pc;
+}
+
+void
+CellSetup::install(epf::ProgrammablePrefetcher &ppf)
+{
+    if (isCompiled(cell_.config.technique)) {
+        for (const auto &pr : passes_)
+            pr.program.installInto(ppf);
+    } else {
+        wl_->programManual(ppf);
+    }
+    if (ppf.kernels().totalBytes() > 4096) {
+        throw std::invalid_argument(
+            "kernel programs of workload '" + cell_.workload +
+            "' exceed the 4 KiB PPU instruction budget");
+    }
+}
+
 double
 timeSetup(const epf::SweepCell &cell)
 {
     using Clock = std::chrono::steady_clock;
-    const epf::RunConfig &cfg = cell.config;
-    const Technique t = cfg.technique;
 
     // Declared before the clock starts so that tearing the machine down
-    // stays outside the measured interval.
-    std::unique_ptr<epf::Workload> wl;
+    // stays outside the measured interval; the workload outlives the
+    // guest memory, as in runExperiment().
+    std::optional<CellSetup> setup;
     epf::GuestMemory gmem;
     epf::EventQueue eq;
     std::unique_ptr<epf::ProgrammablePrefetcher> ppf;
 
     const auto t0 = Clock::now();
-    wl = epf::makeWorkload(cell.workload, cfg.scale);
-    if (t == Technique::kSoftware && !wl->supportsSoftware())
-        return std::chrono::duration<double>(Clock::now() - t0).count();
-    wl->setup(gmem, cfg.seed);
-    if (epf::usesPpf(t))
-        ppf = std::make_unique<epf::ProgrammablePrefetcher>(eq, gmem, cfg.ppf);
-    if (t == Technique::kManual) {
-        wl->programManual(*ppf);
-    } else if (t == Technique::kPragma || t == Technique::kConverted) {
-        for (const auto &loop : wl->buildIR()) {
-            epf::PassResult pr = t == Technique::kConverted
-                                     ? epf::convertSoftwarePrefetches(*loop)
-                                     : epf::generateFromPragma(*loop);
-            if (pr.ok)
-                pr.program.installInto(*ppf);
-        }
+    setup.emplace(cell);
+    if (setup->load(gmem) && setup->compile() &&
+        epf::usesPpf(cell.config.technique)) {
+        ppf = std::make_unique<epf::ProgrammablePrefetcher>(
+            eq, gmem, setup->ppfConfig());
+        setup->install(*ppf);
     }
     return std::chrono::duration<double>(Clock::now() - t0).count();
 }

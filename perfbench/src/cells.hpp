@@ -8,9 +8,11 @@
 #define PERFBENCH_CELLS_HPP
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "compiler/passes.hpp"
 #include "runner/sweep.hpp"
 
 namespace perfbench
@@ -78,7 +80,51 @@ std::string gateFailure(const std::vector<epf::SweepCell> &cells,
                         const std::vector<epf::RunResult> &results,
                         std::size_t i, bool corrupt);
 
-/** Time @p cell's set-up as runExperiment performs it: makeWorkload,
+/** True for the techniques whose prefetcher program the compiler
+ *  passes generate. */
+bool isCompiled(epf::Technique t);
+
+/**
+ * The set-up runExperiment() performs for one single-core cell, in the
+ * same order and with the same early-outs, split into phases so that
+ * the traced run can time each: load() builds the workload and its
+ * inputs, compile() runs the compiler passes, install() programs a
+ * prefetcher.  timeSetup() and the traced run both set up through it.
+ */
+class CellSetup
+{
+  public:
+    /** makeWorkload; throws for an unknown workload. */
+    explicit CellSetup(const epf::SweepCell &cell);
+
+    /** Workload::setup into @p gmem.  False, with note(), when the
+     *  technique does not apply to the workload. */
+    bool load(epf::GuestMemory &gmem);
+
+    /** The compiler passes of a compiled technique (no-op otherwise).
+     *  False, with note(), when no loop converts. */
+    bool compile();
+
+    /** The prefetcher configuration the cell's technique runs with. */
+    epf::PpfConfig ppfConfig() const;
+
+    /** programManual, or installInto of every converted loop, then the
+     *  4 KiB PPU instruction-budget check. */
+    void install(epf::ProgrammablePrefetcher &ppf);
+
+    epf::Workload &workload() { return *wl_; }
+    const std::string &note() const { return note_; }
+    const std::vector<std::string> &remarks() const { return remarks_; }
+
+  private:
+    const epf::SweepCell &cell_;
+    std::unique_ptr<epf::Workload> wl_;
+    std::vector<epf::PassResult> passes_;
+    std::vector<std::string> remarks_;
+    std::string note_;
+};
+
+/** Time @p cell's set-up through CellSetup: makeWorkload,
  *  Workload::setup and the kernel or compiler install.  Seconds. */
 double timeSetup(const epf::SweepCell &cell);
 

@@ -482,23 +482,27 @@ runUntraced(const Args &args, const WorkloadSpec &spec,
         printCell("cell", i, cells[i], first.results[i], first.digests[i],
                   first.hostS[i], first.failures[i]);
 
+    // Per-cell medians over batches: a batch slowed by the host counts
+    // once, however long it took.
     double instrs = 0.0;
     double host = 0.0;
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+        if (first.results[i].available)
+            instrs += static_cast<double>(first.results[i].instrs);
+        std::vector<double> cell_s;
+        for (const auto &b : batches)
+            cell_s.push_back(b.hostS[i]);
+        host += median(cell_s);
+    }
     std::vector<double> walls;
     for (const auto &b : batches) {
-        double batch_instrs = 0.0;
-        double batch_host = 0.0;
-        for (std::size_t i = 0; i < cells.size(); ++i) {
-            if (b.results[i].available)
-                batch_instrs += static_cast<double>(b.results[i].instrs);
-            batch_host += b.hostS[i];
-        }
-        instrs += batch_instrs;
-        host += batch_host;
         walls.push_back(b.wallS);
+        double batch_host = 0.0;
+        for (double h : b.hostS)
+            batch_host += h;
         std::cout << "batch " << walls.size() - 1 << " wall_s "
                   << num(b.wallS) << " sim_mips "
-                  << num(ratio(batch_instrs, batch_host) / 1e6) << "\n";
+                  << num(ratio(instrs, batch_host) / 1e6) << "\n";
     }
 
     std::cout << "batches " << batches.size() << ", set-up repetitions "

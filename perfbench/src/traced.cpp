@@ -4,7 +4,7 @@
 #include <stdexcept>
 #include <utility>
 
-#include "compiler/passes.hpp"
+#include "cells.hpp"
 #include "cpu/core.hpp"
 #include "mem/core_port.hpp"
 #include "mem/guest_memory.hpp"
@@ -345,54 +345,37 @@ runTracedCell(const epf::SweepCell &cell, std::size_t index,
     probe.cell = index;
     const int cell_span = probe.open("cell", -1);
 
-    int s = probe.open("workloads.setup", cell_span);
-    auto wl = epf::makeWorkload(cell.workload, cfg.scale);
-    if (!wl)
-        throw std::invalid_argument("unknown workload: " + cell.workload);
-    const Technique t = cfg.technique;
-    if (t == Technique::kSoftware && !wl->supportsSoftware()) {
-        out.setupS = probe.close(s);
+    // An early-out publishes the note runExperiment() gives.
+    const auto unavailable = [&](const CellSetup &setup) {
         out.result.available = false;
-        out.result.note = "no direct memory address access so software "
-                          "prefetch not possible";
+        out.result.note = setup.note();
+        out.result.remarks = setup.remarks();
         out.cellS = probe.close(cell_span);
         out.spans = std::move(probe.spans);
-        return out;
-    }
+        return std::move(out);
+    };
 
+    int s = probe.open("workloads.setup", cell_span);
+    CellSetup setup(cell);
     epf::EventQueue eq;
     epf::GuestMemory gmem;
-    wl->setup(gmem, cfg.seed);
+    const bool loaded = setup.load(gmem);
     out.setupS = probe.close(s);
+    if (!loaded)
+        return unavailable(setup);
 
     epf::Uncore uncore(eq, gmem, cfg.mem, 1);
     epf::CorePort port(eq, gmem, uncore, cfg.mem, 0);
     epf::Core cpu(eq, cfg.core, port, 0);
 
-    std::vector<epf::PassResult> passes;
-    if (t == Technique::kPragma || t == Technique::kConverted) {
+    const Technique t = cfg.technique;
+    if (isCompiled(t)) {
         s = probe.open("compiler.pass", cell_span);
-        for (const auto &loop : wl->buildIR()) {
-            epf::PassResult pr = t == Technique::kConverted
-                                     ? epf::convertSoftwarePrefetches(*loop)
-                                     : epf::generateFromPragma(*loop);
-            for (const auto &r : pr.program.remarks)
-                out.result.remarks.push_back(r);
-            if (!pr.ok) {
-                out.result.remarks.push_back("loop not converted: " +
-                                             pr.failureReason);
-                continue;
-            }
-            passes.push_back(std::move(pr));
-        }
+        const bool compiled = setup.compile();
         out.compilerS += probe.close(s);
-        if (passes.empty()) {
-            out.result.available = false;
-            out.result.note = "compiler pass produced no events";
-            out.cellS = probe.close(cell_span);
-            out.spans = std::move(probe.spans);
-            return out;
-        }
+        out.result.remarks = setup.remarks();
+        if (!compiled)
+            return unavailable(setup);
     }
 
     std::unique_ptr<epf::StridePrefetcher> stride;
@@ -420,25 +403,14 @@ runTracedCell(const epf::SweepCell &cell, std::size_t index,
       case Technique::kConverted:
       case Technique::kManual:
       case Technique::kManualBlocked: {
-        epf::PpfConfig pc = cfg.ppf;
-        if (t == Technique::kManualBlocked)
-            pc.blocking = true;
-        ppf = std::make_unique<epf::ProgrammablePrefetcher>(eq, gmem, pc);
-        if (t == Technique::kManual || t == Technique::kManualBlocked) {
-            s = probe.open("ppf.install", cell_span);
-            wl->programManual(*ppf);
-            probe.close(s);
-        } else {
-            s = probe.open("compiler.install", cell_span);
-            for (const auto &pr : passes)
-                pr.program.installInto(*ppf);
-            out.compilerS += probe.close(s);
-        }
-        if (ppf->kernels().totalBytes() > 4096) {
-            throw std::invalid_argument(
-                "kernel programs of workload '" + cell.workload +
-                "' exceed the 4 KiB PPU instruction budget");
-        }
+        ppf = std::make_unique<epf::ProgrammablePrefetcher>(
+            eq, gmem, setup.ppfConfig());
+        s = probe.open(isCompiled(t) ? "compiler.install" : "ppf.install",
+                       cell_span);
+        setup.install(*ppf);
+        const double install_s = probe.close(s);
+        if (isCompiled(t))
+            out.compilerS += install_s;
         listener = ppf.get();
         source = ppf.get();
         ppf->setKick([&port] { port.kickPrefetcher(); });
@@ -454,8 +426,8 @@ runTracedCell(const epf::SweepCell &cell, std::size_t index,
     }
 
     bool done = false;
-    cpu.run(timedTrace(wl->trace(t == Technique::kSoftware), probe, out.ops,
-                       out.demand, record_limit),
+    cpu.run(timedTrace(setup.workload().trace(t == Technique::kSoftware),
+                       probe, out.ops, out.demand, record_limit),
             [&done] { done = true; });
     while (!eq.empty()) {
         const int d = probe.open("sim.drain", cell_span);
@@ -470,7 +442,7 @@ runTracedCell(const epf::SweepCell &cell, std::size_t index,
     out.events = eq.executed();
 
     collect(out.result, eq, uncore, port, cpu, ppf.get());
-    out.result.checksum = wl->checksum();
+    out.result.checksum = setup.workload().checksum();
     out.cellS = probe.close(cell_span);
     out.spans = std::move(probe.spans);
     return out;
@@ -489,10 +461,11 @@ replayDemand(const epf::SweepCell &cell, const std::vector<Access> &stream)
     // table maps only registered guest regions), with cold caches and
     // TLB, and no core: the access loop drives the port directly.
     const auto replay = [&](bool through_port) {
-        auto wl = epf::makeWorkload(cell.workload, cfg.scale);
+        CellSetup setup(cell);
         epf::EventQueue eq;
         epf::GuestMemory gmem;
-        wl->setup(gmem, cfg.seed);
+        if (!setup.load(gmem))
+            throw std::logic_error("demand replay of an unavailable cell");
         epf::Uncore uncore(eq, gmem, cfg.mem, 1);
         epf::CorePort port(eq, gmem, uncore, cfg.mem, 0);
         std::size_t completed = 0;
