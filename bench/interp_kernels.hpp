@@ -1,19 +1,12 @@
 /**
  * @file
- * The PPU kernels measured by the BM_Interpreter* microbenches and by
- * tools/bench_interp.  Shared so the google-benchmark suite and the
- * JSON-writing trajectory tool time exactly the same programs.
+ * The PPU kernels measured by the BM_Interpreter* microbenches.
  *
  * Each kernel is shaped like the manual kernels the workloads install
  * (randacc.cpp, hashjoin.cpp, g500_list.cpp): loop-heavy address
- * generation built from the traversal idioms the pre-decoder fuses —
- * address bump feeding a line load, mask+shift hashing, pointer
- * arithmetic feeding a prefetch, and counter+branch loop control.
- * One level up, the pointer-chase and callback-chain loops decode to
- * the canonical chase-loop superblock shape (fused bump+load, fused
- * hash+prefetch, self-loop branch) that the superblock layer executes
- * dispatch-free, while the hash-probe loop exercises the generic
- * positional-dispatch superblock path.
+ * generation built from the common traversal idioms — address bump
+ * feeding a line load, mask+shift hashing, pointer arithmetic feeding
+ * a prefetch, and counter+branch loop control.
  */
 
 #ifndef EPF_BENCH_INTERP_KERNELS_HPP
@@ -44,12 +37,12 @@ pointerChaseKernel()
     b.li(3, 0);            // r3 = byte offset into the line
     b.li(4, 64);           // r4 = line size (8 links)
     b.bind(loop);
-    b.addi(3, 3, 8);       // \ fused: bump the link cursor...
-    b.ldLine(2, 3, -8);    // / ...and load the link it passed
-    b.andi(2, 2, 0x1FF);   // \ fused: hash the link into a slot
-    b.shli(2, 2, 6);       // /
-    b.add(2, 2, 1);        // \ fused: rebase and prefetch the slot
-    b.prefetch(2);         // /
+    b.addi(3, 3, 8);       // bump the link cursor...
+    b.ldLine(2, 3, -8);    // ...and load the link it passed
+    b.andi(2, 2, 0x1FF);   // hash the link into a slot
+    b.shli(2, 2, 6);
+    b.add(2, 2, 1);        // rebase and prefetch the slot
+    b.prefetch(2);
     b.bne(3, 4, loop);
     b.halt();
     return b.build();
@@ -69,16 +62,16 @@ hashProbeKernel()
     b.li(6, 6);            // probes
     b.bind(loop);
     b.addi(1, 1, 40);      // next key address (struct stride)
-    b.andi(2, 1, 0xFFFF);  // \ fused: first mixing round
-    b.shli(2, 2, 3);       // /
+    b.andi(2, 1, 0xFFFF);  // first mixing round
+    b.shli(2, 2, 3);
     b.shri(3, 1, 7);
     b.xorr(2, 2, 3);
-    b.andi(2, 2, 0x3FFF);  // \ fused: second mixing round
-    b.shli(2, 2, 6);       // /
-    b.add(2, 2, 1);        // \ fused: bucket address, tagged fetch
-    b.prefetchTag(2, 1);   // /
-    b.addi(5, 5, 1);       // \ fused: loop control
-    b.bne(5, 6, loop);     // /
+    b.andi(2, 2, 0x3FFF);  // second mixing round
+    b.shli(2, 2, 6);
+    b.add(2, 2, 1);        // bucket address, tagged fetch
+    b.prefetchTag(2, 1);
+    b.addi(5, 5, 1);       // loop control
+    b.bne(5, 6, loop);
     b.halt();
     return b.build();
 }
@@ -97,12 +90,12 @@ callbackChainKernel()
     b.li(3, 0);            // link cursor (bytes)
     b.li(4, 64);           // 8 links
     b.bind(loop);
-    b.addi(3, 3, 8);       // \ fused: advance and load the link word
-    b.ldLine(1, 3, -8);    // /
-    b.andi(1, 1, 0xFFF);   // \ fused: wrap into the node pool
-    b.shli(1, 1, 4);       // /
-    b.add(1, 1, 5);        // \ fused: rebase, chase via callback
-    b.prefetchCb(1, 2);    // /
+    b.addi(3, 3, 8);       // advance and load the link word
+    b.ldLine(1, 3, -8);
+    b.andi(1, 1, 0xFFF);   // wrap into the node pool
+    b.shli(1, 1, 4);
+    b.add(1, 1, 5);        // rebase, chase via callback
+    b.prefetchCb(1, 2);
     b.bne(3, 4, loop);
     b.halt();
     return b.build();
@@ -122,9 +115,8 @@ benchContext(const std::uint64_t *globals, const LineData &line)
 
 /**
  * The complete shared bench input: one deterministic line payload and
- * global-register file, used by every harness (micro_components'
- * Ref/Decoded pairs and tools/bench_interp) so the compared numbers
- * can never measure different inputs.  Use in place — the context
+ * global-register file, shared by every BM_Interpreter* bench so
+ * they all measure the same inputs.  Use in place — the context
  * points into the member arrays.
  */
 struct BenchInput

@@ -60,10 +60,8 @@ struct MicroOp
     /**
      * Action run at dispatch for PfConfig ops.  May mutate prefetcher
      * configuration mid-trace, including the PPF kernel table (adding
-     * or patching kernels); KernelTable::version() moves on every such
-     * mutation, which is what lets the PPF's decoded-program cache
-     * refresh before the next callback-kernel dispatch instead of
-     * running stale code.
+     * or patching kernels).  The PPF runs kernels straight from its
+     * table, so the next callback-kernel dispatch sees the change.
      */
     std::function<void()> config;
 };

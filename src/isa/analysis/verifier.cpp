@@ -166,6 +166,33 @@ mayTouchRegion(std::int64_t lo, std::int64_t hi,
     return uhi >= regionLo && ulo < regionHi;
 }
 
+/** Exact execution weight of one basic block. */
+struct BlockWeight
+{
+    /** Architectural cycles charged when the block runs start to end
+     *  (1 cycle per executed instruction, including a trapping
+     *  terminator's charged fetch; the boundary trap charges none). */
+    std::uint32_t cycles = 0;
+    /** Prefetches emitted when the block runs start to end. */
+    std::uint32_t emits = 0;
+};
+
+/** Per-block weights over @p cfg, indexed by block id: the edge
+ *  weights of the longest-path cost pass. */
+std::vector<BlockWeight>
+blockWeights(const Cfg &cfg, const std::vector<Instr> &code)
+{
+    std::vector<BlockWeight> out(cfg.size());
+    for (std::size_t b = 0; b < cfg.size(); ++b) {
+        const Block &blk = cfg.blocks()[b];
+        out[b].cycles = blk.length(); // 1 cycle per executed instruction
+        for (std::uint32_t pc = blk.first; pc <= blk.last; ++pc)
+            if (isEmit(code[pc].op))
+                ++out[b].emits;
+    }
+    return out;
+}
+
 } // namespace
 
 bool
@@ -220,20 +247,6 @@ mayTrap(const Instr &in, const KernelContext &ctx)
       default:
         return false;
     }
-}
-
-std::vector<BlockWeight>
-blockWeights(const Cfg &cfg, const std::vector<Instr> &code)
-{
-    std::vector<BlockWeight> out(cfg.size());
-    for (std::size_t b = 0; b < cfg.size(); ++b) {
-        const Block &blk = cfg.blocks()[b];
-        out[b].cycles = blk.length(); // 1 cycle per executed instruction
-        for (std::uint32_t pc = blk.first; pc <= blk.last; ++pc)
-            if (isEmit(code[pc].op))
-                ++out[b].emits;
-    }
-    return out;
 }
 
 KernelAnalysis
@@ -505,8 +518,7 @@ analyzeKernel(const Kernel &k, const KernelContext &ctx)
         out.maxEmits = kMaxKernelSteps; // at most one emit per cycle
     } else {
         // Longest path over the DAG in reverse postorder, with the
-        // shared per-block weights (blockWeights) as edge costs — the
-        // same exact block totals superblock execution bulk-charges.
+        // per-block weights (blockWeights) as edge costs.
         // The two maxima are taken over independent paths; each is
         // attained by a real CFG path.
         const std::size_t nb = cfg.size();

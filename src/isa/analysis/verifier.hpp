@@ -10,7 +10,7 @@
  *    path (must-assigned analysis; observation ops are implicit defs);
  *  - static trap proofs: instructions that trap every time they
  *    execute, both context-free facts (divi #0, out-of-range gread /
- *    lookahead index) — the exact set the pre-decoder hoists — and
+ *    lookahead index) and
  *    context-dependent ones (ldline on a trigger kind known to carry
  *    no line, lookahead index vs the installed filter count);
  *  - cost bounds: exact worst-case cycles and emit count for acyclic
@@ -92,10 +92,9 @@ struct KernelContext
 /**
  * Context-free always-trap fact for one instruction: true when the
  * instruction traps on every execution regardless of the triggering
- * event.  This is the exact set the pre-decoder hoists to its kTrap
- * slot (divi #0; gread index outside [0, kGlobalRegs); negative
- * lookahead index) — predecode.cpp calls this instead of recomputing,
- * so the decoder and the verifier can never disagree.
+ * event: divi #0, a gread index outside [0, kGlobalRegs) and a
+ * negative lookahead index.  The CFG the analyses run on ends a basic
+ * block at such a pc.
  */
 bool alwaysTraps(const Instr &in);
 
@@ -108,28 +107,6 @@ bool alwaysTraps(const Instr &in, const KernelContext &ctx);
  * register value, divi #-1 overflow, ldline with unknown line kind...).
  */
 bool mayTrap(const Instr &in, const KernelContext &ctx);
-
-/** Exact execution weight of one basic block. */
-struct BlockWeight
-{
-    /** Architectural cycles charged when the block runs start to end
-     *  (1 cycle per executed instruction, including a trapping
-     *  terminator's charged fetch; the boundary trap charges none). */
-    std::uint32_t cycles = 0;
-    /** Prefetches emitted when the block runs start to end. */
-    std::uint32_t emits = 0;
-};
-
-/**
- * Per-block weights over @p cfg (one entry per block, indexed by block
- * id).  Exact for straight-line execution — these are the edge weights
- * of the verifier's longest-path cost pass and the block-level cycle
- * accounting superblock execution bulk-charges (predecode.cpp): a
- * superblock covering a whole basic block must charge exactly
- * weights[b].cycles and emit exactly weights[b].emits.
- */
-std::vector<BlockWeight> blockWeights(const Cfg &cfg,
-                                      const std::vector<Instr> &code);
 
 /** Everything the analyzer proved about one kernel. */
 struct KernelAnalysis
@@ -161,9 +138,7 @@ struct KernelAnalysis
      *  entries): 1 when the instruction can never trap when it
      *  executes (proven-unreachable pcs qualify vacuously).  Strictly
      *  no weaker than !mayTrap(in, ctx) — e.g. a div whose divisor
-     *  interval excludes zero.  This is the region oracle superblock
-     *  formation consumes (ROADMAP item 1); DecodedKernel re-exports
-     *  it from the decode-time context. */
+     *  interval excludes zero. */
     std::vector<std::uint8_t> trapFreePc;
 
     bool hasErrors() const { return analysis::hasErrors(diags); }

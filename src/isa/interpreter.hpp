@@ -10,9 +10,9 @@
  * simply abandoned.
  *
  * This switch-decoded interpreter is the reference semantics of the
- * ISA; the pre-decoded interpreter in predecode.hpp is the fast path
- * the simulator actually runs, and the differential fuzzer in
- * tests/fuzz_isa_test.cpp holds the two bit-identical.
+ * ISA and the only one the simulator runs; kernels are short and the
+ * PPF + PPU slice is a small share of host time, so no faster tier
+ * has earned its keep end to end.
  */
 
 #ifndef EPF_ISA_INTERPRETER_HPP
@@ -83,8 +83,7 @@ class Interpreter
      * @param max_steps watchdog bound
      * @param regs_out  when non-null, receives the kPpuRegs final
      *                  register values at exit (any exit reason) —
-     *                  used by the differential tests to compare
-     *                  register-visible effects across interpreters
+     *                  lets tests check register-visible effects
      */
     static ExecResult run(const Kernel &kernel, const EventContext &ctx,
                           const EmitFn &emit,

@@ -167,13 +167,12 @@ CorePort::tryIssuePrefetches()
 void
 CorePort::issueTranslatedPrefetch(const LineRequest &req)
 {
-    // Strict mode re-checks the demand reservation at issue time: the
-    // free-MSHR state may have changed while this request's
-    // translation was in flight, and landing it anyway dips into the
-    // MSHRs reserved for demand misses.  Skidded requests re-issue
-    // from the MSHR-free hook once the file drains.
-    if (p_.strictPfReservation &&
-        l1_->freeMshrCount() <= p_.demandReservedMshrs) {
+    // Re-check the demand reservation at issue time: the free-MSHR
+    // state may have changed while this request's translation was in
+    // flight, and landing it anyway dips into the MSHRs reserved for
+    // demand misses.  Skidded requests re-issue from the MSHR-free hook
+    // once the file drains.
+    if (l1_->freeMshrCount() <= p_.demandReservedMshrs) {
         if (pfSkid_.size() >= kMaxPfSkid) {
             ++stats_.pfSkidDropped;
             if (listener_ != nullptr && (req.cbKernel >= 0 || req.tag >= 0))

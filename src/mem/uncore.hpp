@@ -51,20 +51,12 @@ struct MemParams
     /**
      * L1 MSHRs kept free for demand misses: prefetch requests only
      * issue while more than this many MSHRs are available, so the
-     * prefetcher cannot starve the core.
+     * prefetcher cannot starve the core.  The check runs both when a
+     * request is popped from the queue and when its translation lands;
+     * a request whose translation was in flight while the MSHR file
+     * filled skids until the file drains.
      */
     unsigned demandReservedMshrs = 2;
-    /**
-     * Also enforce demandReservedMshrs when a translated prefetch
-     * lands, not only when it is popped from the request queue.  This
-     * is the documented contract and the default; a request whose TLB
-     * translation was in flight while the MSHR file filled skids until
-     * the file drains instead of taking a reserved MSHR on arrival.
-     * Turning it off restores the legacy pipeline the pre-refresh
-     * goldens were recorded under (the divergence is a transient
-     * bounded by the translation window).
-     */
-    bool strictPfReservation = true;
     /**
      * L2 bank count (power of two); 0 = one bank per core port.  The
      * configured L2 capacity and MSHRs are split evenly across banks.

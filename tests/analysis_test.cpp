@@ -155,7 +155,7 @@ TEST(AnalysisTest, ObservationOpsCountAsDefs)
 
 TEST(AnalysisTest, ContextFreeTrapFactsMatchTheInterpreter)
 {
-    // The single-instruction facts the pre-decoder hoists.
+    // The context-free single-instruction facts.
     EXPECT_TRUE(analysis::alwaysTraps(Instr{Opcode::kDivi, 1, 1, 0, 0}));
     EXPECT_FALSE(analysis::alwaysTraps(Instr{Opcode::kDivi, 1, 1, 0, 2}));
     EXPECT_TRUE(analysis::alwaysTraps(Instr{Opcode::kGread, 1, 0, 0, 64}));

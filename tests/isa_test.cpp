@@ -323,6 +323,106 @@ TEST(InterpreterTest, CyclesMatchInstructionCount)
     Kernel k = b.build();
     ExecResult r = Interpreter::run(k, plainCtx(), nullptr);
     EXPECT_EQ(r.cycles, 4u);
+
+    // An opcode byte outside the enum (only constructible from raw
+    // Instr structs) runs as a charged no-op, not a trap.
+    const Kernel weird{"weird", {Instr{static_cast<Opcode>(200), 1, 2, 3, 7},
+                                 Instr{Opcode::kLi, 1, 0, 0, 5},
+                                 Instr{Opcode::kHalt, 0, 0, 0, 0}}};
+    std::uint64_t regs[kPpuRegs];
+    r = Interpreter::run(weird, plainCtx(), nullptr, kMaxKernelSteps, regs);
+    EXPECT_EQ(r.exit, ExitReason::kHalted);
+    EXPECT_EQ(r.cycles, 3u);
+    EXPECT_EQ(regs[1], 5u);
+}
+
+TEST(InterpreterTest, BoundaryTrapsChargeNoFetch)
+{
+    // Leaving [0, size) traps without charging a cycle for the missing
+    // fetch: an empty kernel, falling off the end, and a branch to a
+    // wild target in either direction.
+    struct Case
+    {
+        const char *what;
+        Kernel k;
+        std::uint32_t cycles;
+    };
+    const Case cases[] = {
+        {"empty", Kernel{"empty", {}}, 0},
+        {"fall off", Kernel{"falloff", {Instr{Opcode::kLi, 1, 0, 0, 1},
+                                        Instr{Opcode::kAddi, 1, 1, 0, 1}}},
+         2},
+        {"wild jmp", Kernel{"wild", {Instr{Opcode::kJmp, 0, 0, 0, 1000},
+                                     Instr{Opcode::kHalt, 0, 0, 0, 0}}},
+         1},
+        {"negative jmp", Kernel{"neg", {Instr{Opcode::kJmp, 0, 0, 0, -55}}},
+         1},
+    };
+    for (const Case &c : cases) {
+        const ExecResult r = Interpreter::run(c.k, plainCtx(), nullptr);
+        EXPECT_EQ(r.exit, ExitReason::kTrapped) << c.what;
+        EXPECT_EQ(r.cycles, c.cycles) << c.what;
+        EXPECT_EQ(r.emitted, 0u) << c.what;
+    }
+}
+
+TEST(InterpreterTest, StepLimitSweepTruncatesExactly)
+{
+    // At every budget short of a full run, execution stops after
+    // exactly that many instructions with kStepLimit, and the emits are
+    // the prefix of the full run's emits issued by those instructions.
+    KernelBuilder line("line");
+    line.vaddr(1);
+    line.andi(2, 1, 0xFF).shli(2, 2, 3).add(3, 2, 1).prefetch(3);
+    line.addi(4, 4, 8).prefetch(4);
+    line.halt();
+
+    KernelBuilder loop("loop");
+    auto top = loop.newLabel();
+    loop.li(1, 0).li(2, 0).li(4, 4);
+    loop.bind(top);
+    loop.andi(3, 1, 0x3F).shli(3, 3, 2).add(3, 3, 1).prefetch(3);
+    loop.addi(1, 1, 40);
+    loop.addi(2, 2, 1).bne(2, 4, top); // 4 iterations
+    loop.halt();
+
+    for (const Kernel &k : {line.build(), loop.build()}) {
+        std::vector<PrefetchEmit> all;
+        std::vector<std::size_t> pcs;
+        const ExecResult full = Interpreter::runTraced(
+            k, plainCtx(), &all,
+            [&pcs](std::size_t pc, const std::uint64_t *) {
+                pcs.push_back(pc);
+            });
+        ASSERT_EQ(full.exit, ExitReason::kHalted) << k.name;
+        ASSERT_EQ(full.cycles, pcs.size()) << k.name;
+
+        std::uint32_t emitsBefore = 0;
+        for (unsigned budget = 1; budget < full.cycles; ++budget) {
+            const Opcode op = k.code[pcs[budget - 1]].op;
+            if (op == Opcode::kPrefetch || op == Opcode::kPrefetchTag ||
+                op == Opcode::kPrefetchCb)
+                ++emitsBefore;
+
+            std::vector<PrefetchEmit> emits;
+            const ExecResult r =
+                Interpreter::run(k, plainCtx(), &emits, budget);
+            EXPECT_EQ(r.exit, ExitReason::kStepLimit)
+                << k.name << " @" << budget;
+            EXPECT_EQ(r.cycles, budget) << k.name << " @" << budget;
+            EXPECT_EQ(r.emitted, emitsBefore) << k.name << " @" << budget;
+            ASSERT_EQ(emits.size(), emitsBefore) << k.name << " @" << budget;
+            for (std::size_t i = 0; i < emits.size(); ++i)
+                EXPECT_EQ(emits[i].vaddr, all[i].vaddr)
+                    << k.name << " @" << budget << " emit " << i;
+        }
+
+        // A budget of exactly the full run's length lets the halt run.
+        const ExecResult r = Interpreter::run(k, plainCtx(), nullptr,
+                                              full.cycles);
+        EXPECT_EQ(r.exit, ExitReason::kHalted) << k.name;
+        EXPECT_EQ(r.cycles, full.cycles) << k.name;
+    }
 }
 
 TEST(KernelTableTest, AddAndFootprint)

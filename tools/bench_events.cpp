@@ -86,9 +86,8 @@ timeDrain(const std::string &name, unsigned fanout, Tick delay, int reps)
         return (now() - t0) * 1e9 / (static_cast<double>(reps) * fanout);
     };
 
-    // Interleaved best-of rounds (the bench_interp idiom): host
-    // frequency drift hits both paths roughly equally, and the ratio is
-    // what the trajectory tracks.
+    // Interleaved best-of rounds: host frequency drift hits both paths
+    // roughly equally, and the ratio is what the trajectory tracks.
     runPerEvent();
     runBatched(); // warm
     double per = 1e99, bat = 1e99;
