@@ -8,6 +8,7 @@
 
 #include <cstring>
 #include <limits>
+#include <ostream>
 #include <stdexcept>
 #include <vector>
 
@@ -62,6 +63,15 @@ struct AluCase
     std::int64_t a, b;
     std::uint64_t expect;
 };
+
+// gtest prints the parameter into each case's listed name; without this
+// it dumps the raw bytes, name pointer and padding included, so the
+// name would change from build to build.
+void
+PrintTo(const AluCase &c, std::ostream *os)
+{
+    *os << c.name << "(" << c.a << ", " << c.b << ") = " << c.expect;
+}
 
 class AluParam : public ::testing::TestWithParam<AluCase>
 {
@@ -323,24 +333,43 @@ TEST(InterpreterTest, CyclesMatchInstructionCount)
     Kernel k = b.build();
     ExecResult r = Interpreter::run(k, plainCtx(), nullptr);
     EXPECT_EQ(r.cycles, 4u);
+}
 
+// ---------------------------------------------------------------------
+// Cases carried over from the retired pre-decoded tier's parity tests.
+// They keep those tests' names; each now asserts the reference
+// interpreter's behaviour directly.
+// ---------------------------------------------------------------------
+
+TEST(PredecodeTest, OutOfEnumOpcodeIsAChargedNop)
+{
     // An opcode byte outside the enum (only constructible from raw
     // Instr structs) runs as a charged no-op, not a trap.
-    const Kernel weird{"weird", {Instr{static_cast<Opcode>(200), 1, 2, 3, 7},
-                                 Instr{Opcode::kLi, 1, 0, 0, 5},
-                                 Instr{Opcode::kHalt, 0, 0, 0, 0}}};
+    const Kernel k{"weird", {Instr{static_cast<Opcode>(200), 1, 2, 3, 7},
+                             Instr{Opcode::kLi, 1, 0, 0, 5},
+                             Instr{Opcode::kHalt, 0, 0, 0, 0}}};
     std::uint64_t regs[kPpuRegs];
-    r = Interpreter::run(weird, plainCtx(), nullptr, kMaxKernelSteps, regs);
+    const ExecResult r =
+        Interpreter::run(k, plainCtx(), nullptr, kMaxKernelSteps, regs);
     EXPECT_EQ(r.exit, ExitReason::kHalted);
     EXPECT_EQ(r.cycles, 3u);
     EXPECT_EQ(regs[1], 5u);
 }
 
-TEST(InterpreterTest, BoundaryTrapsChargeNoFetch)
+TEST(PredecodeTest, EmptyKernelTrapsWithZeroCycles)
+{
+    const ExecResult r =
+        Interpreter::run(Kernel{"empty", {}}, plainCtx(), nullptr);
+    EXPECT_EQ(r.exit, ExitReason::kTrapped);
+    EXPECT_EQ(r.cycles, 0u);
+    EXPECT_EQ(r.emitted, 0u);
+}
+
+TEST(PredecodeTest, BoundaryAndWildBranchParity)
 {
     // Leaving [0, size) traps without charging a cycle for the missing
-    // fetch: an empty kernel, falling off the end, and a branch to a
-    // wild target in either direction.
+    // fetch: falling off the end, and a branch to a wild target in
+    // either direction.
     struct Case
     {
         const char *what;
@@ -348,7 +377,6 @@ TEST(InterpreterTest, BoundaryTrapsChargeNoFetch)
         std::uint32_t cycles;
     };
     const Case cases[] = {
-        {"empty", Kernel{"empty", {}}, 0},
         {"fall off", Kernel{"falloff", {Instr{Opcode::kLi, 1, 0, 0, 1},
                                         Instr{Opcode::kAddi, 1, 1, 0, 1}}},
          2},
@@ -366,63 +394,116 @@ TEST(InterpreterTest, BoundaryTrapsChargeNoFetch)
     }
 }
 
-TEST(InterpreterTest, StepLimitSweepTruncatesExactly)
+TEST(PredecodeTest, TrapMidFusedPairKeepsFirstHalfEffects)
 {
-    // At every budget short of a full run, execution stops after
-    // exactly that many instructions with kStepLimit, and the emits are
-    // the prefix of the full run's emits issued by those instructions.
-    KernelBuilder line("line");
-    line.vaddr(1);
-    line.andi(2, 1, 0xFF).shli(2, 2, 3).add(3, 2, 1).prefetch(3);
-    line.addi(4, 4, 8).prefetch(4);
-    line.halt();
+    // A trap keeps the register writes of the instructions before it
+    // and charges the trapping instruction: here the addi lands and the
+    // ldline without line data traps on the second cycle.
+    KernelBuilder b("t");
+    b.addi(1, 1, 0x40).ldLine(2, 1, 0).halt();
+    EventContext ctx = plainCtx();
+    ctx.hasLine = false;
+    std::uint64_t regs[kPpuRegs];
+    const ExecResult r =
+        Interpreter::run(b.build(), ctx, nullptr, kMaxKernelSteps, regs);
+    EXPECT_EQ(r.exit, ExitReason::kTrapped);
+    EXPECT_EQ(r.cycles, 2u);
+    EXPECT_EQ(regs[1], 0x40u);
+}
 
-    KernelBuilder loop("loop");
-    auto top = loop.newLabel();
-    loop.li(1, 0).li(2, 0).li(4, 4);
-    loop.bind(top);
-    loop.andi(3, 1, 0x3F).shli(3, 3, 2).add(3, 3, 1).prefetch(3);
-    loop.addi(1, 1, 40);
-    loop.addi(2, 2, 1).bne(2, 4, top); // 4 iterations
-    loop.halt();
+TEST(SuperblockTest, LookaheadGuardChecksInstalledEntries)
+{
+    // lookahead #2 needs at least 3 installed entries; with fewer, or
+    // with no table at all, it traps where it stands.
+    KernelBuilder b("la");
+    b.li(1, 0x100).lookahead(2, 2).add(1, 1, 2).prefetch(1).halt();
+    const Kernel k = b.build();
 
-    for (const Kernel &k : {line.build(), loop.build()}) {
-        std::vector<PrefetchEmit> all;
-        std::vector<std::size_t> pcs;
-        const ExecResult full = Interpreter::runTraced(
-            k, plainCtx(), &all,
-            [&pcs](std::size_t pc, const std::uint64_t *) {
-                pcs.push_back(pc);
-            });
-        ASSERT_EQ(full.exit, ExitReason::kHalted) << k.name;
-        ASSERT_EQ(full.cycles, pcs.size()) << k.name;
+    std::vector<PrefetchEmit> emits;
+    const ExecResult ok = Interpreter::run(k, plainCtx(), &emits);
+    EXPECT_EQ(ok.exit, ExitReason::kHalted);
+    EXPECT_EQ(ok.cycles, 5u);
+    ASSERT_EQ(emits.size(), 1u);
+    EXPECT_EQ(emits[0].vaddr, 0x100u + 16u);
 
-        std::uint32_t emitsBefore = 0;
-        for (unsigned budget = 1; budget < full.cycles; ++budget) {
-            const Opcode op = k.code[pcs[budget - 1]].op;
-            if (op == Opcode::kPrefetch || op == Opcode::kPrefetchTag ||
-                op == Opcode::kPrefetchCb)
-                ++emitsBefore;
-
-            std::vector<PrefetchEmit> emits;
-            const ExecResult r =
-                Interpreter::run(k, plainCtx(), &emits, budget);
-            EXPECT_EQ(r.exit, ExitReason::kStepLimit)
-                << k.name << " @" << budget;
-            EXPECT_EQ(r.cycles, budget) << k.name << " @" << budget;
-            EXPECT_EQ(r.emitted, emitsBefore) << k.name << " @" << budget;
-            ASSERT_EQ(emits.size(), emitsBefore) << k.name << " @" << budget;
-            for (std::size_t i = 0; i < emits.size(); ++i)
-                EXPECT_EQ(emits[i].vaddr, all[i].vaddr)
-                    << k.name << " @" << budget << " emit " << i;
-        }
-
-        // A budget of exactly the full run's length lets the halt run.
-        const ExecResult r = Interpreter::run(k, plainCtx(), nullptr,
-                                              full.cycles);
-        EXPECT_EQ(r.exit, ExitReason::kHalted) << k.name;
-        EXPECT_EQ(r.cycles, full.cycles) << k.name;
+    EventContext few = plainCtx();
+    few.lookaheadEntries = 1;
+    EventContext none = plainCtx();
+    none.lookahead = nullptr;
+    none.lookaheadEntries = 0;
+    for (const EventContext &ctx : {few, none}) {
+        const ExecResult r = Interpreter::run(k, ctx, nullptr);
+        EXPECT_EQ(r.exit, ExitReason::kTrapped);
+        EXPECT_EQ(r.cycles, 2u);
+        EXPECT_EQ(r.emitted, 0u);
     }
+}
+
+/**
+ * At every budget short of a full run, execution stops after exactly
+ * that many instructions with kStepLimit, and the emits are the prefix
+ * of the full run's emits issued by those instructions. A budget of
+ * exactly the full run's length lets the halt run.
+ */
+void
+expectBudgetSweep(const Kernel &k)
+{
+    std::vector<PrefetchEmit> all;
+    std::vector<std::size_t> pcs;
+    const ExecResult full = Interpreter::runTraced(
+        k, plainCtx(), &all,
+        [&pcs](std::size_t pc, const std::uint64_t *) { pcs.push_back(pc); });
+    ASSERT_EQ(full.exit, ExitReason::kHalted) << k.name;
+    ASSERT_EQ(full.cycles, pcs.size()) << k.name;
+
+    std::uint32_t emitsBefore = 0;
+    for (unsigned budget = 1; budget < full.cycles; ++budget) {
+        const Opcode op = k.code[pcs[budget - 1]].op;
+        if (op == Opcode::kPrefetch || op == Opcode::kPrefetchTag ||
+            op == Opcode::kPrefetchCb)
+            ++emitsBefore;
+
+        std::vector<PrefetchEmit> emits;
+        const ExecResult r = Interpreter::run(k, plainCtx(), &emits, budget);
+        EXPECT_EQ(r.exit, ExitReason::kStepLimit) << k.name << " @" << budget;
+        EXPECT_EQ(r.cycles, budget) << k.name << " @" << budget;
+        EXPECT_EQ(r.emitted, emitsBefore) << k.name << " @" << budget;
+        ASSERT_EQ(emits.size(), emitsBefore) << k.name << " @" << budget;
+        for (std::size_t i = 0; i < emits.size(); ++i)
+            EXPECT_EQ(emits[i].vaddr, all[i].vaddr)
+                << k.name << " @" << budget << " emit " << i;
+    }
+
+    const ExecResult r =
+        Interpreter::run(k, plainCtx(), nullptr, full.cycles);
+    EXPECT_EQ(r.exit, ExitReason::kHalted) << k.name;
+    EXPECT_EQ(r.cycles, full.cycles) << k.name;
+}
+
+TEST(SuperblockTest, StraightLineKernelFormsOneBlockBudgetSweep)
+{
+    // vaddr + hash quad + addi/prefetch pair + halt.
+    KernelBuilder b("line");
+    b.vaddr(1);
+    b.andi(2, 1, 0xFF).shli(2, 2, 3).add(3, 2, 1).prefetch(3);
+    b.addi(4, 4, 8).prefetch(4);
+    b.halt();
+    expectBudgetSweep(b.build());
+}
+
+TEST(SuperblockTest, LoopBudgetSweepEveryCycle)
+{
+    // Sweep every budget across four full iterations so truncation
+    // lands at every offset inside the loop body.
+    KernelBuilder b("loop");
+    auto top = b.newLabel();
+    b.li(1, 0).li(2, 0).li(4, 4);
+    b.bind(top);
+    b.andi(3, 1, 0x3F).shli(3, 3, 2).add(3, 3, 1).prefetch(3);
+    b.addi(1, 1, 40);
+    b.addi(2, 2, 1).bne(2, 4, top); // 4 iterations
+    b.halt();
+    expectBudgetSweep(b.build());
 }
 
 TEST(KernelTableTest, AddAndFootprint)
