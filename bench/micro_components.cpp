@@ -1,14 +1,15 @@
 /**
  * @file
  * google-benchmark microbenchmarks of the simulator's own components:
- * event-queue throughput, cache access path, PPU interpreter and the
- * compiler pass.  These measure the *host* cost of simulation, useful
+ * event-queue throughput, cache access path, PPU interpreter, stat
+ * counter updates and the compiler pass.  These measure the *host* cost of simulation, useful
  * when scaling inputs.
  */
 
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "compiler/ir.hpp"
@@ -23,6 +24,7 @@
 #include "ppf/filter.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/rng.hpp"
+#include "sim/stats.hpp"
 
 namespace
 {
@@ -234,6 +236,34 @@ BM_ConversionPass(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_ConversionPass);
+
+/**
+ * Hot-counter update cost: a by-name std::map lookup against an
+ * interned StatRegistry handle.  CI gates the ratio of the two.
+ */
+void
+BM_StatHotCounterByName(benchmark::State &state)
+{
+    epf::StatRegistry reg;
+    const std::string name = "core.loads";
+    for (auto _ : state)
+        reg.set(name, reg.get(name, 0.0) + 1.0);
+    benchmark::DoNotOptimize(reg.get(name));
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_StatHotCounterByName);
+
+void
+BM_StatHotCounterInterned(benchmark::State &state)
+{
+    epf::StatRegistry reg;
+    const epf::StatRegistry::StatId id = reg.intern("core.loads");
+    for (auto _ : state)
+        reg.add(id, 1.0);
+    benchmark::DoNotOptimize(reg.get(id));
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_StatHotCounterInterned);
 
 void
 BM_Rng(benchmark::State &state)

@@ -101,12 +101,14 @@ TEST(UncoreTest, ContendingPortsGrantRoundRobin)
     p.l2Banks = 1; // force every request onto one arbiter
     Uncore uc(eq, gm, p, 2);
 
-    // Two ports each queue two reads in the same tick.
+    // Two ports each queue two reads of distinct lines in the same
+    // tick, port 0 first each round.
     std::vector<int> order;
+    Addr line = 0;
     for (int i = 0; i < 2; ++i) {
         for (unsigned port = 0; port < 2; ++port) {
             LineRequest req;
-            req.vaddr = va + (static_cast<Addr>(order.size()) + 1) * 64;
+            req.vaddr = va + ++line * kLineBytes;
             req.paddr = req.vaddr;
             const int tag = static_cast<int>(port) * 10 + i;
             uc.port(port).readLine(req, [&order, tag] {
@@ -115,9 +117,76 @@ TEST(UncoreTest, ContendingPortsGrantRoundRobin)
         }
     }
     eq.run();
-    ASSERT_EQ(order.size(), 4u);
+    // Grants alternate ports one l2ArbPeriod apart; every grant but the
+    // last finds the other port waiting too.
+    EXPECT_EQ(order, (std::vector<int>{0, 10, 1, 11}));
     EXPECT_EQ(uc.stats().arbGrants, 4u);
-    EXPECT_GT(uc.stats().arbConflicts, 0u);
+    EXPECT_EQ(uc.stats().arbConflicts, 3u);
+}
+
+/**
+ * Two banks with a grant due in the same tick: one arbiter wake grants
+ * them in bank-index order, whatever order the requests arrived in, and
+ * each bank's next slot comes l2ArbPeriod later.  The lines are warmed
+ * into the L2 first, so each read completes exactly one L2 access
+ * latency after its grant.
+ */
+TEST(UncoreTest, SameTickGrantsRunInBankOrderThenPace)
+{
+    EventQueue eq;
+    GuestMemory gm;
+    std::vector<std::uint64_t> buf(4096, 1);
+    Addr va = gm.addRegion("buf", buf.data(), buf.size() * 8);
+
+    MemParams p = MemParams::defaults();
+    p.l2Banks = 2;
+    Uncore uc(eq, gm, p, 2);
+    ASSERT_EQ(uc.banks(), 2u);
+
+    // Line n maps to bank n % 2.  Each port asks for its bank-1 line
+    // before its bank-0 line.
+    const Addr lines[2][2] = {{1, 0}, {3, 2}}; // [port][request]
+    auto read = [&](unsigned port, Addr n, DoneFn done) {
+        LineRequest req;
+        req.vaddr = va + n * kLineBytes;
+        req.paddr = req.vaddr;
+        uc.port(port).readLine(req, std::move(done));
+    };
+    for (unsigned port = 0; port < 2; ++port) {
+        for (Addr n : lines[port]) {
+            read(port, n, [] {});
+            eq.run();
+        }
+    }
+    uc.resetStats();
+
+    struct Done
+    {
+        Tick tick;
+        Addr line;
+    };
+    std::vector<Done> done;
+    const Tick t0 = eq.now();
+    for (unsigned port = 0; port < 2; ++port) {
+        for (Addr n : lines[port])
+            read(port, n, [&eq, &done, n] { done.push_back({eq.now(), n}); });
+    }
+    eq.run();
+
+    const Tick hit = p.l2.accessLatency;
+    const std::vector<Done> want = {{t0 + hit, 0},
+                                    {t0 + hit, 1},
+                                    {t0 + p.l2ArbPeriod + hit, 2},
+                                    {t0 + p.l2ArbPeriod + hit, 3}};
+    ASSERT_EQ(done.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(done[i].tick, want[i].tick) << "completion " << i;
+        EXPECT_EQ(done[i].line, want[i].line) << "completion " << i;
+    }
+    EXPECT_EQ(uc.stats().arbGrants, 4u);
+    EXPECT_EQ(uc.stats().arbConflicts, 2u); // both banks' first grants
+    EXPECT_EQ(uc.l2Stats().lowerReads, 4u);
+    EXPECT_EQ(uc.l2Stats().lowerReadHits, 4u);
 }
 
 // ---------------------------------------------------------------------

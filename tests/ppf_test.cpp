@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "isa/builder.hpp"
@@ -15,6 +16,7 @@
 #include "ppf/filter.hpp"
 #include "ppf/ppf.hpp"
 #include "sim/event_queue.hpp"
+#include "sim/fault.hpp"
 
 namespace epf
 {
@@ -411,6 +413,101 @@ TEST_F(PpfTest, ObservationQueueDropsOldest)
                           0);
     EXPECT_GT(ppf->stats().obsDropped, 0u);
     eq_.run();
+}
+
+/**
+ * One snooped load matching N overlapping filter entries delivers N
+ * observations, one front-door enqueue per match in filter-insertion
+ * order, into a FIFO that drops its oldest entry on overflow
+ * (Section 4.3).  With the only PPU busy and room for C < N, the
+ * first N - C matches are dropped and the last C run in order.
+ */
+class PpfMultiMatchTest : public PpfTest
+{
+  protected:
+    static constexpr int kMatches = 6;
+    static constexpr std::size_t kCapacity = 3;
+    static constexpr Addr kTargetBase = 0x1000;
+
+    std::unique_ptr<ProgrammablePrefetcher>
+    makeMultiMatch()
+    {
+        PpfConfig cfg;
+        cfg.numPpus = 1;
+        cfg.obsQueueCapacity = kCapacity;
+        auto ppf = make(cfg);
+        // Match i emits one prefetch of kTargetBase * (i + 1), so the
+        // request queue records which matches ran, in run order.
+        // Entries are inserted with descending bases: the filter's
+        // insertion order, not base order, sets the match order.
+        for (int i = 0; i < kMatches; ++i) {
+            KernelBuilder b("match" + std::to_string(i));
+            b.li(1, static_cast<std::int64_t>(target(i))).prefetch(1).halt();
+            FilterEntry fe;
+            fe.base = base() + static_cast<Addr>(kMatches - 1 - i) * 8;
+            fe.limit = base() + 1024;
+            fe.onLoad = ppf->kernels().add(b.build());
+            ppf->addFilter(fe);
+        }
+        return ppf;
+    }
+
+    /** Hold the only PPU busy with a fill-routed event that emits
+     *  nothing (a callback kernel bypasses the filter). */
+    void
+    occupyPpu(ProgrammablePrefetcher &ppf)
+    {
+        KernelBuilder b("busy");
+        b.halt();
+        LineRequest fill;
+        fill.vaddr = base();
+        fill.isPrefetch = true;
+        fill.cbKernel = ppf.kernels().add(b.build());
+        ppf.notifyPrefetchFill(fill);
+    }
+
+    static Addr target(int match) { return kTargetBase * (match + 1); }
+};
+
+TEST_F(PpfMultiMatchTest, OverflowKeepsTheLastMatchesInInsertionOrder)
+{
+    auto ppf = makeMultiMatch();
+    occupyPpu(*ppf);
+    ASSERT_EQ(ppf->stats().observations, 1u);
+
+    ppf->notifyDemand(base() + 512, true, false, 0);
+    EXPECT_EQ(ppf->stats().observations, 1u + kMatches);
+    EXPECT_EQ(ppf->stats().obsDropped, kMatches - kCapacity);
+
+    eq_.run();
+    EXPECT_EQ(ppf->stats().eventsRun, 1u + kCapacity);
+    std::vector<Addr> ran;
+    for (const LineRequest &r : drain(*ppf))
+        ran.push_back(r.vaddr);
+    std::vector<Addr> want;
+    for (int i = kMatches - static_cast<int>(kCapacity); i < kMatches; ++i)
+        want.push_back(target(i));
+    EXPECT_EQ(ran, want);
+}
+
+TEST_F(PpfMultiMatchTest, FrontDoorFaultSiteIsDrawnOncePerMatch)
+{
+    FaultInjector faults(parseFaultConfig("obsDrop=@1"), 1);
+    auto ppf = makeMultiMatch();
+    ppf->setFaultInjector(&faults);
+
+    ppf->notifyDemand(base() + 512, true, false, 0);
+    EXPECT_EQ(faults.visits(FaultSite::kObsDrop),
+              static_cast<std::uint64_t>(kMatches));
+    EXPECT_EQ(faults.fired(FaultSite::kObsDrop),
+              static_cast<std::uint64_t>(kMatches));
+    // A dropped observation never reaches the later sites or the queue.
+    EXPECT_EQ(faults.visits(FaultSite::kObsDelay), 0u);
+    EXPECT_EQ(ppf->stats().observations, 0u);
+
+    eq_.run();
+    EXPECT_EQ(ppf->stats().eventsRun, 0u);
+    EXPECT_FALSE(ppf->hasRequest());
 }
 
 TEST_F(PpfTest, LowestIdPolicySkewsWork)
